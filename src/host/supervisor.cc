@@ -18,10 +18,8 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
       jit_(options.jit),
       io_(options.io_backend),
       evict_dir_(options.evict_dir),
+      tel_(options.telemetry),
       paused_(options.start_paused) {
-#if defined(HOST_TELEMETRY)
-  tel_ = options.telemetry;
-#endif
   if (tel_ != nullptr) {
     metrics::Registry& reg = tel_->registry();
     c_submitted_ = reg.GetCounter("supervisor_jobs_submitted_total");
@@ -83,34 +81,16 @@ Supervisor::Supervisor(wali::WaliRuntime* runtime, const Options& options)
 
 Supervisor::~Supervisor() { Shutdown(); }
 
-RunReport Supervisor::ControlReport(const GuestJob& job, Outcome outcome,
-                                    std::string message) const {
-  RunReport r;
-  r.outcome = outcome;
-  r.tenant = job.tenant;
-  r.trap = wasm::TrapKind::kHostError;
-  r.trap_message = std::move(message);
-  return r;
-}
-
-void Supervisor::EndRunTel(Telemetry::RunHandle h, Outcome outcome,
-                           uint64_t fuel) {
-  if (tel_ == nullptr || !h.valid()) {
-    return;
-  }
-  tel_->EndRun(h, outcome, clock_(), fuel);
-  c_outcome_[static_cast<size_t>(outcome)]->Inc();
-}
-
 std::future<RunReport> Supervisor::Submit(GuestJob job) {
-  Task task;
-  task.job = std::move(job);
-  std::future<RunReport> fut = task.done.get_future();
-  const std::string tenant = task.job.tenant;
+  RunState st;
+  st.job = std::move(job);
+  st.report.tenant = st.job.tenant;
+  std::future<RunReport> fut = st.done.get_future();
+  const std::string tenant = st.job.tenant;
   if (tel_ != nullptr) {
     // Rejected submits open a span too: counter exactness (per-outcome sum
     // == submissions) depends on every admission attempt being a run.
-    task.trun = tel_->BeginRun(tenant, clock_());
+    st.trun = tel_->BeginRun(tenant, clock_());
     c_submitted_->Inc();
   }
 
@@ -121,14 +101,14 @@ std::future<RunReport> Supervisor::Submit(GuestJob job) {
       reject_reason = "supervisor is shut down";
     } else {
       TenantQueue& tq = queues_[tenant];
-      if (task.job.weight > 0) {
-        tq.weight = task.job.weight;
+      if (st.job.weight > 0) {
+        tq.weight = st.job.weight;
       }
       if (queue_depth_ > 0 && tq.q.size() >= queue_depth_) {
         reject_reason = "admission queue full for tenant '" + tenant + "'";
       } else {
-        task.enqueue_nanos = clock_();
-        tq.q.push_back(std::move(task));
+        st.enqueue_nanos = clock_();
+        tq.q.push_back(std::move(st));
         if (!tq.in_ring) {
           tq.in_ring = true;
           ring_.push_back(tenant);
@@ -137,12 +117,7 @@ std::future<RunReport> Supervisor::Submit(GuestJob job) {
     }
   }
   if (!reject_reason.empty()) {
-    TenantUsage delta;
-    delta.rejected = 1;
-    ledger_.Charge(tenant, delta);
-    EndRunTel(task.trun, Outcome::kRejected, 0);
-    task.done.set_value(
-        ControlReport(task.job, Outcome::kRejected, std::move(reject_reason)));
+    Fail(std::move(st), Outcome::kRejected, std::move(reject_reason));
     return fut;
   }
   if (g_queue_depth_ != nullptr) {
@@ -210,8 +185,8 @@ void Supervisor::Shutdown() {
     }
   }
   for (RunState& st : abandoned) {
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: supervisor shutdown with syscall parked");
+    Fail(std::move(st), Outcome::kShed,
+         "shed: supervisor shutdown with syscall parked");
   }
   cv_.notify_all();
   for (std::thread& w : workers_) {
@@ -350,25 +325,22 @@ size_t Supervisor::EvictAllParked() {
   return n;
 }
 
-bool Supervisor::RestoreParked(RunState& st) {
+common::Status Supervisor::RestoreParked(RunState& st) {
   std::vector<uint8_t> bytes = std::move(st.evicted_snapshot);
   if (!st.evicted_path.empty()) {
     std::ifstream in(st.evicted_path, std::ios::binary);
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
     if (bytes.empty()) {
-      std::string msg = "restore: cannot read " + st.evicted_path;
-      FinishEvictedUnrestorable(std::move(st), std::move(msg));
-      return false;
+      return common::Internal("restore: cannot read " + st.evicted_path);
     }
     std::remove(st.evicted_path.c_str());
+    st.evicted_path.clear();
   }
   common::StatusOr<InstancePool::Lease> lease = pool_.Acquire(
       st.job.module, std::move(st.saved_argv), std::move(st.saved_env));
   if (!lease.ok()) {
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + lease.status().ToString());
-    return false;
+    return common::Internal("restore: " + lease.status().ToString());
   }
   st.lease = std::move(*lease);
   wali::WaliProcess& proc = *st.lease;
@@ -378,13 +350,10 @@ bool Supervisor::RestoreParked(RunState& st) {
     // The fresh lease goes back clean; the run itself is unrecoverable (its
     // only state was the snapshot that just failed to decode).
     st.lease.Release();
-    FinishEvictedUnrestorable(std::move(st),
-                              "restore: " + restored.ToString());
-    return false;
+    return common::Internal("restore: " + restored.ToString());
   }
   proc.policy = st.job.policy;
   st.evicted = false;
-  st.evicted_path.clear();
   restores_total_.fetch_add(1, std::memory_order_relaxed);
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kRestore, clock_(),
@@ -392,31 +361,11 @@ bool Supervisor::RestoreParked(RunState& st) {
     c_restores_->Inc();
     g_evicted_now_->Sub(1);
   }
-  return true;
+  return common::OkStatus();
 }
 
-void Supervisor::FinishEvictedUnrestorable(RunState st, std::string message) {
-  RunReport& report = st.report;
-  report.outcome = Outcome::kTrapped;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  // The park already settled everything the guest consumed (st.reserved is
-  // empty off-worker), so the ledger only records the run and the host
-  // error — nothing is re-billed, nothing is lost.
-  ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.host_errors = 1;
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    g_evicted_now_->Sub(1);
-  }
-  EndRunTel(st.trun, Outcome::kTrapped, report.fuel_consumed);
-  st.done.set_value(std::move(report));
-}
-
-bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
+std::optional<Supervisor::RunState> Supervisor::PopLocked(
+    std::vector<RunState>* shed) {
   const int64_t now = clock_();
   while (!ring_.empty()) {
     const std::string name = ring_.front();
@@ -440,7 +389,7 @@ bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
     if (tq.credits == 0) {
       tq.credits = tq.weight > 0 ? tq.weight : 1;
     }
-    *out = std::move(tq.q.front());
+    RunState out = std::move(tq.q.front());
     tq.q.pop_front();
     if (g_queue_depth_ != nullptr) {
       g_queue_depth_->Sub(1);
@@ -456,18 +405,16 @@ bool Supervisor::PopLocked(Task* out, std::vector<Task>* shed) {
         ring_.push_back(name);
       }
     }
-    return true;
+    return out;
   }
-  return false;
+  return std::nullopt;
 }
 
 void Supervisor::WorkerLoop() {
   while (true) {
-    Task task;
-    std::vector<Task> shed;
-    ReadyEntry ready;
-    bool got = false;
-    bool got_ready = false;
+    std::vector<RunState> shed;
+    std::optional<RunState> run;
+    std::optional<ReadyEntry> ready;
     bool drained = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -478,45 +425,31 @@ void Supervisor::WorkerLoop() {
       // already holds a pool lease and reserved budget slices, so getting
       // it out frees more than admitting new work would.
       if (!paused_ && !ready_.empty()) {
-        ready = std::move(ready_.front());
+        ready.emplace(std::move(ready_.front()));
         ready_.pop_front();
-        got_ready = true;
       } else {
-        got = PopLocked(&task, &shed);
-        if (!got && stopping_ && !RunnableLocked() && ready_.empty()) {
-          drained = true;
-        }
+        run = PopLocked(&shed);
+        drained = !run && stopping_ && !RunnableLocked() && ready_.empty();
       }
     }
-    for (Task& s : shed) {
-      TenantUsage delta;
-      delta.shed = 1;
-      ledger_.Charge(s.job.tenant, delta);
-      RunReport r = ControlReport(s.job, Outcome::kShed,
-                                  "shed: deadline expired while queued");
-      r.queue_nanos = clock_() - s.enqueue_nanos;
-      EndRunTel(s.trun, Outcome::kShed, 0);
-      s.done.set_value(std::move(r));
+    for (RunState& s : shed) {
+      s.report.queue_nanos = clock_() - s.enqueue_nanos;
+      Fail(std::move(s), Outcome::kShed, "shed: deadline expired while queued");
     }
-    if (got_ready) {
-      ResumeOne(std::move(ready));
-    } else if (got) {
-      RunOne(task);
+    if (ready) {
+      ResumeOne(std::move(*ready));
+    } else if (run) {
+      RunOne(std::move(*run));
     } else if (drained) {
       return;  // stopping and nothing left to schedule
     }
   }
 }
 
-void Supervisor::RunOne(Task& task) {
-  RunState st;
-  st.job = std::move(task.job);
-  st.done = std::move(task.done);
-  st.trun = task.trun;
+void Supervisor::RunOne(RunState st) {
   GuestJob& job = st.job;
   RunReport& report = st.report;
-  report.tenant = job.tenant;
-  report.queue_nanos = clock_() - task.enqueue_nanos;
+  report.queue_nanos = clock_() - st.enqueue_nanos;
   report.dispatch_seq = dispatch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (tel_ != nullptr) {
     tel_->Record(st.trun, SpanEvent::kDispatch, clock_());
@@ -528,33 +461,18 @@ void Supervisor::RunOne(Task& task) {
   // which keeps an exhausted tenant from pinning the ring.
   TenantLedger::Verdict verdict = ledger_.Admit(job.tenant);
   if (verdict != TenantLedger::Verdict::kAdmit) {
-    TenantUsage delta;
-    delta.budget_stops = 1;
-    ledger_.Charge(job.tenant, delta);
-    RunReport r = ControlReport(
-        job, Outcome::kBudget,
-        std::string("tenant budget exhausted: ") +
-            TenantLedger::VerdictName(verdict));
-    r.queue_nanos = report.queue_nanos;
-    r.dispatch_seq = report.dispatch_seq;
-    EndRunTel(st.trun, Outcome::kBudget, 0);
-    st.done.set_value(std::move(r));
+    Fail(std::move(st), Outcome::kBudget,
+         std::string("tenant budget exhausted: ") +
+             TenantLedger::VerdictName(verdict));
     return;
   }
 
   common::StatusOr<InstancePool::Lease> lease =
       pool_.Acquire(job.module, std::move(job.argv), std::move(job.env));
   if (!lease.ok()) {
-    report.outcome = Outcome::kTrapped;
-    report.trap = wasm::TrapKind::kHostError;
-    report.trap_message = lease.status().ToString();
     // The guest never started, but the tenant did consume a dispatch; keep
-    // it visible in the ledger instead of vanishing from telemetry.
-    TenantUsage delta;
-    delta.host_errors = 1;
-    ledger_.Charge(job.tenant, delta);
-    EndRunTel(st.trun, Outcome::kTrapped, 0);
-    st.done.set_value(std::move(report));
+    // it visible in the ledger (as a host error) instead of vanishing.
+    Fail(std::move(st), Outcome::kTrapped, lease.status().ToString());
     return;
   }
   st.lease = std::move(*lease);
@@ -562,6 +480,7 @@ void Supervisor::RunOne(Task& task) {
   report.pooled = st.lease.recycled();
   proc.policy = job.policy;
 
+  st.dispatched = true;
   uint64_t now_in_flight = in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   uint64_t peak = peak_in_flight_.load(std::memory_order_relaxed);
   while (now_in_flight > peak &&
@@ -583,34 +502,7 @@ void Supervisor::RunOne(Task& task) {
   if (job.max_frames != 0) {
     opts.max_frames = job.max_frames;
   }
-
-  // Arm mid-run budget enforcement from the tenant's remaining slices,
-  // RESERVED in the ledger up front so concurrent runs of the same tenant
-  // split the cumulative budget instead of each taking the whole remainder
-  // (SettleSlices swaps the reservation for actual consumption at finish).
-  // Fuel rides the interpreter's existing per-instruction check; syscalls
-  // trip in the dispatch wrapper; memory is capped at the allocation (grow
-  // past the cap fails) with a safepoint backstop; CPU trips at WALI
-  // safepoints, armed as a wall-clock deadline, which can only fire early
-  // (wall >= cpu), never grant extra time. A park RELEASES the
-  // reservation (ParkRun settles consumed-so-far and hands the unconsumed
-  // slices back, so a sleeping fleet cannot starve the tenant's runnable
-  // jobs); ResumeOne re-reserves fresh slices after its Admit re-check
-  // and re-arms fuel/CPU/syscall enforcement from the new grant — blocked
-  // wall time is never billed as CPU, and RunState::settled keeps the
-  // finish-time settle from double-billing the parked partials.
-  st.reserved = ledger_.ReserveSlices(job.tenant, job.fuel);
-  if (st.reserved.fuel != 0 && (opts.fuel == 0 || st.reserved.fuel < opts.fuel)) {
-    opts.fuel = st.reserved.fuel;
-    st.fuel_clamped = true;
-  }
-  if (st.reserved.cpu_nanos != 0) {
-    proc.cpu_deadline_nanos.store(common::MonotonicNanos() + st.reserved.cpu_nanos,
-                                  std::memory_order_release);
-  }
-  if (st.reserved.syscalls != 0) {
-    proc.syscall_budget.store(st.reserved.syscalls, std::memory_order_release);
-  }
+  ArmBudget(st, job.fuel, /*executed=*/0, &opts.fuel);
   TenantBudget budget = ledger_.budget(job.tenant);
   if (budget.max_mem_pages != 0) {
     proc.mem_budget_pages.store(budget.max_mem_pages, std::memory_order_release);
@@ -629,6 +521,53 @@ void Supervisor::RunOne(Task& task) {
     return;
   }
   FinishRun(std::move(st), r);
+}
+
+// Mid-run budget enforcement from the tenant's remaining slices, RESERVED
+// in the ledger up front so concurrent runs of the same tenant split the
+// cumulative budget instead of each taking the whole remainder (Settle
+// swaps the reservation for actual consumption). Fuel rides the
+// interpreter's per-instruction check; syscalls trip in the dispatch
+// wrapper against the process's cumulative dispatch counter (0 at first
+// dispatch, so the grant is "dispatches so far + fresh slice" either way);
+// CPU trips at WALI safepoints, armed as a wall-clock deadline from now,
+// which can only fire early (wall >= cpu), never grant extra time. Memory
+// is capped once, at first dispatch. A park releases the reservation and
+// its resume arms a fresh grant from the CURRENT unreserved remainder, so
+// blocked wall time is never billed as CPU and the cumulative budget stays
+// hard across park/resume cycles.
+void Supervisor::ArmBudget(RunState& st, uint64_t fuel_demand,
+                           uint64_t executed, uint64_t* fuel) {
+  wali::WaliProcess& proc = *st.lease;
+  st.reserved = ledger_.ReserveSlices(st.job.tenant, fuel_demand);
+  if (st.reserved.fuel != 0 && fuel != nullptr) {
+    uint64_t cap = executed + st.reserved.fuel;
+    if (*fuel == 0 || cap < *fuel) {
+      *fuel = cap;
+      st.fuel_clamped = true;
+    }
+  }
+  if (st.reserved.cpu_nanos != 0) {
+    proc.cpu_deadline_nanos.store(common::MonotonicNanos() + st.reserved.cpu_nanos,
+                                  std::memory_order_release);
+  }
+  if (st.reserved.syscalls != 0) {
+    proc.syscall_budget.store(
+        proc.run_syscalls.load(std::memory_order_acquire) + st.reserved.syscalls,
+        std::memory_order_release);
+  }
+}
+
+void Supervisor::Settle(RunState& st, uint64_t syscalls) {
+  TenantUsage delta;
+  delta.fuel = st.report.fuel_consumed - st.settled.fuel;
+  delta.cpu_nanos = st.report.cpu_nanos - st.settled.cpu_nanos;
+  delta.syscalls = syscalls - st.settled.syscalls;
+  ledger_.SettleSlices(st.job.tenant, st.reserved, delta);
+  st.settled.fuel += delta.fuel;
+  st.settled.cpu_nanos += delta.cpu_nanos;
+  st.settled.syscalls += delta.syscalls;
+  st.reserved = TenantLedger::RunReservation{};
 }
 
 void Supervisor::ParkRun(RunState st) {
@@ -653,8 +592,8 @@ void Supervisor::ParkRun(RunState st) {
   if (st.job.deadline_nanos != 0) {
     int64_t remaining = st.job.deadline_nanos - clock_();
     if (remaining <= 0) {
-      FinishAbandoned(std::move(st), Outcome::kShed,
-                      "shed: deadline expired entering a blocking syscall");
+      Fail(std::move(st), Outcome::kShed,
+           "shed: deadline expired entering a blocking syscall");
       return;
     }
     if (op.kind == wali::IoOp::Kind::kSleep) {
@@ -668,26 +607,13 @@ void Supervisor::ParkRun(RunState st) {
     }
   }
 
-  // Release the run's budget reservation while it sleeps off-worker:
-  // settle what it actually consumed so far and hand the unconsumed slices
-  // back to the tenant's unreserved pool, so a parked fleet cannot starve
-  // the tenant's runnable jobs. ResumeOne re-reserves after its Admit
-  // re-check; the finish paths charge totals minus `settled`, so nothing
-  // is billed twice.
-  {
-    TenantUsage sofar;
-    sofar.fuel = report.fuel_consumed - st.settled.fuel;
-    sofar.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-    // Trace-counted dispatches: same source as the finish-time report (a
-    // budget-tripped dispatch never reaches the trace, so this can never
-    // run ahead of what Finish* will bill).
-    sofar.syscalls = proc.trace.total_calls() - st.settled.syscalls;
-    ledger_.SettleSlices(st.job.tenant, st.reserved, sofar);
-    st.settled.fuel += sofar.fuel;
-    st.settled.cpu_nanos += sofar.cpu_nanos;
-    st.settled.syscalls += sofar.syscalls;
-    st.reserved = TenantLedger::RunReservation{};
-  }
+  // Release the run's budget reservation while it sleeps off-worker: settle
+  // what it consumed so far and hand the unconsumed slices back to the
+  // tenant's unreserved pool, so a parked fleet cannot starve the tenant's
+  // runnable jobs. Syscalls are trace-counted dispatches, the same source
+  // End harvests (a budget-tripped dispatch never reaches the trace, so
+  // this can never run ahead of what End will bill).
+  Settle(st, proc.trace.total_calls());
 
   st.park_stamp = clock_();
   if (tel_ != nullptr) {
@@ -713,8 +639,8 @@ void Supervisor::ParkRun(RunState st) {
   if (!parked) {
     // Shutdown already swept the parked set; this run must not slip in
     // behind the sweep and wait on a completion nobody will deliver.
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: supervisor shutdown with syscall parked");
+    Fail(std::move(st), Outcome::kShed,
+         "shed: supervisor shutdown with syscall parked");
   }
 }
 
@@ -724,8 +650,12 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   // An evicted run exists only as snapshot bytes: rehydrate it into a fresh
   // slot before anything touches the process. Recorded before kResume so
   // the trace reads park -> evict -> io_complete -> restore -> resume.
-  if (st.evicted && !RestoreParked(st)) {
-    return;  // resolved as kTrapped/kHostError by the restore path
+  if (st.evicted) {
+    common::Status restored = RestoreParked(st);
+    if (!restored.ok()) {
+      Fail(std::move(st), Outcome::kTrapped, restored.message());
+      return;
+    }
   }
   wali::WaliProcess& proc = *st.lease;
   RunReport& report = st.report;
@@ -752,8 +682,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
       (st.job.deadline_nanos != 0 && clock_() >= st.job.deadline_nanos);
   if (deadline_shed) {
     sheds_while_parked_.fetch_add(1, std::memory_order_relaxed);
-    FinishAbandoned(std::move(st), Outcome::kShed,
-                    "shed: deadline expired while parked");
+    Fail(std::move(st), Outcome::kShed, "shed: deadline expired while parked");
     return;
   }
 
@@ -761,8 +690,7 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   // (through other runs) while this guest was parked.
   if (ledger_.Admit(st.job.tenant) != TenantLedger::Verdict::kAdmit) {
     budget_stops_while_parked_.fetch_add(1, std::memory_order_relaxed);
-    FinishAbandoned(std::move(st), Outcome::kBudget,
-                    "tenant budget exhausted while parked");
+    Fail(std::move(st), Outcome::kBudget, "tenant budget exhausted while parked");
     return;
   }
 
@@ -784,45 +712,23 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
   }
   st.retry = nullptr;
 
-  // Re-reserve budget slices for the on-worker continuation — the park
-  // released this run's reservation back to the tenant's pool. The fresh
-  // slices come out of the CURRENT unreserved remainder (concurrent runs
-  // may have consumed some while we slept), so the cumulative budget stays
-  // hard across park/resume cycles. The suspended interpreter's remaining
-  // fuel bounds the demand (the run can never consume more than that), so
-  // a resumed run near completion takes a small slice and leaves the rest
-  // of the remainder for the tenant's other runs.
+  // Re-arm budgets for the on-worker continuation. The suspended
+  // interpreter's remaining fuel bounds the demand (the run can never
+  // consume more than that), so a resumed run near completion takes a
+  // small slice and leaves the rest of the remainder for the tenant's
+  // other runs; the fresh fuel slice tightens that same limit.
   uint64_t fuel_demand = st.job.fuel;
-  if (st.cont.susp.ctx != nullptr && st.cont.susp.ctx->opts.fuel != 0) {
-    uint64_t remaining =
-        st.cont.susp.ctx->opts.fuel - st.cont.susp.ctx->executed;
-    fuel_demand = remaining > 0 ? remaining : 1;
-  }
-  st.reserved = ledger_.ReserveSlices(st.job.tenant, fuel_demand);
-  if (st.reserved.fuel != 0 && st.cont.susp.ctx != nullptr) {
-    // Tighten the suspended interpreter's fuel to consumed + the new
-    // slice, so the re-reserved (possibly smaller) grant is enforced by
-    // the same per-instruction mechanism as at first dispatch.
-    uint64_t cap = st.cont.susp.ctx->executed + st.reserved.fuel;
-    if (st.cont.susp.ctx->opts.fuel == 0 || cap < st.cont.susp.ctx->opts.fuel) {
-      st.cont.susp.ctx->opts.fuel = cap;
-      st.fuel_clamped = true;
+  uint64_t executed = 0;
+  uint64_t* fuel = nullptr;
+  if (st.cont.susp.ctx != nullptr) {
+    executed = st.cont.susp.ctx->executed;
+    fuel = &st.cont.susp.ctx->opts.fuel;
+    if (*fuel != 0) {
+      uint64_t remaining = *fuel - executed;
+      fuel_demand = remaining > 0 ? remaining : 1;
     }
   }
-  // Re-arm the CPU deadline from the fresh slice: the deadline is
-  // wall-clock-based and the park let wall time pass without consuming
-  // CPU, so it restarts from now.
-  if (st.reserved.cpu_nanos != 0) {
-    proc.cpu_deadline_nanos.store(common::MonotonicNanos() + st.reserved.cpu_nanos,
-                                  std::memory_order_release);
-  }
-  if (st.reserved.syscalls != 0) {
-    // The dispatch-wrapper check compares the run's cumulative dispatch
-    // counter, so the new grant is "dispatches so far + fresh slice".
-    proc.syscall_budget.store(
-        proc.run_syscalls.load(std::memory_order_acquire) + st.reserved.syscalls,
-        std::memory_order_release);
-  }
+  ArmBudget(st, fuel_demand, executed, fuel);
 
   int64_t cpu0 = common::ThreadCpuNanos();
   int64_t t0 = common::MonotonicNanos();
@@ -838,151 +744,99 @@ void Supervisor::ResumeOne(ReadyEntry entry) {
 }
 
 void Supervisor::FinishRun(RunState st, const wasm::RunResult& r) {
-  wali::WaliProcess& proc = *st.lease;
   RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-
   report.trap = r.trap;
   report.trap_message = r.trap_message;
   report.executed_instrs = r.executed_instrs;
   report.fuel_consumed = r.executed_instrs;
-  report.mem_high_water_pages = proc.memory->high_water_pages();
   if (r.trap == wasm::TrapKind::kExit) {
     report.exit_code = r.exit_code;
   } else if (r.ok() && !r.values.empty()) {
     report.exit_code = static_cast<int32_t>(r.values[0].i32());
   }
-
-  const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
-  for (size_t id = 0; id < defs.size(); ++id) {
-    uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
-    if (n > 0) {
-      report.syscall_counts.emplace_back(defs[id].name, n);
-      report.total_syscalls += n;
-    }
-  }
-  report.wali_nanos = proc.trace.wali_nanos();
-  report.kernel_nanos = proc.trace.kernel_nanos();
-
+  Outcome outcome = Outcome::kTrapped;
   if (r.trap == wasm::TrapKind::kBudgetExhausted ||
       (r.trap == wasm::TrapKind::kFuelExhausted && st.fuel_clamped)) {
-    report.outcome = Outcome::kBudget;
-  } else if (report.trap == wasm::TrapKind::kNone ||
-             report.trap == wasm::TrapKind::kExit) {
-    report.outcome = Outcome::kCompleted;
-  } else {
-    report.outcome = Outcome::kTrapped;
+    outcome = Outcome::kBudget;
+  } else if (r.trap == wasm::TrapKind::kNone || r.trap == wasm::TrapKind::kExit) {
+    outcome = Outcome::kCompleted;
   }
-
-  // Settle the reservation against actual consumption (minus anything a
-  // park already settled), then charge the unreserved dimensions.
-  TenantUsage actual;
-  actual.fuel = report.fuel_consumed - st.settled.fuel;
-  actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-  actual.syscalls = report.total_syscalls - st.settled.syscalls;
-  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (report.outcome == Outcome::kBudget) {
-    delta.budget_stops = 1;
-  }
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    h_run_wall_->Observe(report.wall_nanos);
-    h_blocked_->Observe(report.blocked_nanos);
-  }
-  EndRunTel(st.trun, report.outcome, report.fuel_consumed);
-  st.done.set_value(std::move(report));
+  End(std::move(st), outcome);
 }
 
-void Supervisor::FinishAbandoned(RunState st, Outcome outcome,
-                                 std::string message) {
+void Supervisor::Fail(RunState st, Outcome outcome, std::string message) {
+  st.report.trap = wasm::TrapKind::kHostError;
+  st.report.trap_message = std::move(message);
+  End(std::move(st), outcome);
+}
+
+void Supervisor::End(RunState st, Outcome outcome) {
+  RunReport& report = st.report;
+  report.outcome = outcome;
+  const bool live = static_cast<bool>(st.lease);
+  if (live) {
+    wali::WaliProcess& proc = *st.lease;
+    proc.cpu_deadline_nanos.store(0, std::memory_order_release);
+    proc.mem_budget_pages.store(0, std::memory_order_release);
+    proc.syscall_budget.store(0, std::memory_order_release);
+    proc.memory->SetGrowBudgetPages(0);
+    // Drop a run abandoned mid-park's interpreter state before the lease
+    // goes back to the pool: the suspension pins the instance and the
+    // slot's exec buffers.
+    st.cont.Discard();
+    proc.pending_io.Reset();
+
+    report.mem_high_water_pages = proc.memory->high_water_pages();
+    const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
+    for (size_t id = 0; id < defs.size(); ++id) {
+      uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
+      if (n > 0) {
+        report.syscall_counts.emplace_back(defs[id].name, n);
+        report.total_syscalls += n;
+      }
+    }
+    report.wali_nanos = proc.trace.wali_nanos();
+    report.kernel_nanos = proc.trace.kernel_nanos();
+    Settle(st, report.total_syscalls);
+  }
+  // An evicted run has no slot: the park before the evict settled all it
+  // consumed, so only its snapshot is left to drop.
   if (st.evicted) {
-    // No lease to disarm and no live process to harvest: drop the snapshot
-    // bytes (the park that preceded the evict already settled consumption).
     if (!st.evicted_path.empty()) {
       std::remove(st.evicted_path.c_str());
     }
-    RunReport& report = st.report;
-    report.outcome = outcome;
-    report.trap = wasm::TrapKind::kHostError;
-    report.trap_message = std::move(message);
-    ledger_.SettleSlices(st.job.tenant, st.reserved, TenantUsage{});
-    TenantUsage delta;
-    delta.runs = 1;
-    if (outcome == Outcome::kShed) {
-      delta.shed = 1;
-    } else if (outcome == Outcome::kBudget) {
-      delta.budget_stops = 1;
-    }
-    ledger_.Charge(st.job.tenant, delta);
-    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     if (tel_ != nullptr) {
       g_evicted_now_->Sub(1);
     }
-    EndRunTel(st.trun, outcome, report.fuel_consumed);
-    st.done.set_value(std::move(report));
-    return;
   }
-  wali::WaliProcess& proc = *st.lease;
-  RunReport& report = st.report;
-  proc.cpu_deadline_nanos.store(0, std::memory_order_release);
-  proc.mem_budget_pages.store(0, std::memory_order_release);
-  proc.syscall_budget.store(0, std::memory_order_release);
-  proc.memory->SetGrowBudgetPages(0);
-  // Drop the suspended interpreter state before the lease goes back to the
-  // pool: the suspension pins the instance and the slot's exec buffers.
-  st.cont.Discard();
-  proc.pending_io.Reset();
-
-  report.outcome = outcome;
-  report.trap = wasm::TrapKind::kHostError;
-  report.trap_message = std::move(message);
-  report.mem_high_water_pages = proc.memory->high_water_pages();
-  const std::vector<wali::SyscallDef>& defs = runtime_->syscalls();
-  for (size_t id = 0; id < defs.size(); ++id) {
-    uint64_t n = proc.trace.count(static_cast<uint32_t>(id));
-    if (n > 0) {
-      report.syscall_counts.emplace_back(defs[id].name, n);
-      report.total_syscalls += n;
+  if (st.dispatched) {
+    in_flight_.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  // A job that never held a lease is billed by outcome only; a host error
+  // is a kTrapped run that lost (or never got) its slot.
+  TenantUsage delta;
+  delta.runs = st.dispatched ? 1 : 0;
+  delta.mem_high_water_pages = report.mem_high_water_pages;
+  delta.shed = outcome == Outcome::kShed ? 1 : 0;
+  delta.rejected = outcome == Outcome::kRejected ? 1 : 0;
+  delta.budget_stops = outcome == Outcome::kBudget ? 1 : 0;
+  delta.host_errors = outcome == Outcome::kTrapped && !live ? 1 : 0;
+  ledger_.Charge(st.job.tenant, delta);
+  if (tel_ != nullptr) {
+    if (live) {
+      h_run_wall_->Observe(report.wall_nanos);
+      h_blocked_->Observe(report.blocked_nanos);
+    }
+    if (st.trun.valid()) {
+      tel_->EndRun(st.trun, outcome, clock_(), report.fuel_consumed);
+      c_outcome_[static_cast<size_t>(outcome)]->Inc();
     }
   }
-  report.wali_nanos = proc.trace.wali_nanos();
-  report.kernel_nanos = proc.trace.kernel_nanos();
-
-  // The guest DID run (partially): settle its real consumption (minus what
-  // earlier parks already settled), and record the abandonment in the
-  // admission-outcome counters.
-  TenantUsage actual;
-  actual.fuel = report.fuel_consumed - st.settled.fuel;
-  actual.cpu_nanos = report.cpu_nanos - st.settled.cpu_nanos;
-  actual.syscalls = report.total_syscalls - st.settled.syscalls;
-  ledger_.SettleSlices(st.job.tenant, st.reserved, actual);
-  TenantUsage delta;
-  delta.runs = 1;
-  delta.mem_high_water_pages = report.mem_high_water_pages;
-  if (outcome == Outcome::kShed) {
-    delta.shed = 1;
-  } else if (outcome == Outcome::kBudget) {
-    delta.budget_stops = 1;
-  }
-  ledger_.Charge(st.job.tenant, delta);
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  if (tel_ != nullptr) {
-    h_run_wall_->Observe(report.wall_nanos);
-    h_blocked_->Observe(report.blocked_nanos);
-  }
-  EndRunTel(st.trun, outcome, report.fuel_consumed);
   st.done.set_value(std::move(report));
 }
 
 void Supervisor::ForgetTenant(const std::string& tenant) {
-  std::vector<Task> dropped;
+  std::vector<RunState> dropped;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = queues_.find(tenant);
@@ -1000,15 +854,13 @@ void Supervisor::ForgetTenant(const std::string& tenant) {
       }
     }
   }
-  for (Task& t : dropped) {
+  for (RunState& st : dropped) {
     if (g_queue_depth_ != nullptr) {
       g_queue_depth_->Sub(1);
     }
-    // Spans close BEFORE the telemetry forget below so the rejected runs do
-    // not resurrect the tenant's series row.
-    EndRunTel(t.trun, Outcome::kRejected, 0);
-    t.done.set_value(ControlReport(t.job, Outcome::kRejected,
-                                   "rejected: tenant forgotten"));
+    // Spans close (and tallies land) BEFORE the forget below, so the
+    // rejected runs do not resurrect the tenant's ledger or series row.
+    Fail(std::move(st), Outcome::kRejected, "rejected: tenant forgotten");
   }
   // Ledger retention hook; with telemetry wired it also drops the tenant's
   // metric series and spans.

@@ -35,6 +35,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -158,7 +159,6 @@ class Supervisor {
     // pool, and guest runs) into the telemetry subsystem: span events for
     // every job lifecycle stage, process-wide counters/histograms, and
     // interpreter frame-entry profiling. Borrowed; must outlive Shutdown.
-    // Ignored (forced null) when the build has HOST_TELEMETRY off.
     Telemetry* telemetry = nullptr;
     // Where EvictParked writes snapshots ("evict-<cookie>.snap"). Empty
     // (default) keeps the serialized blob in memory — the slab is still
@@ -266,20 +266,20 @@ class Supervisor {
   void ForgetTenant(const std::string& tenant);
 
  private:
-  struct Task {
-    GuestJob job;
-    std::promise<RunReport> done;
-    int64_t enqueue_nanos = 0;
-    Telemetry::RunHandle trun;  // span handle; invalid when telemetry is off
-  };
-
-  // A dispatched run's full in-progress state. Lives on the worker's stack
-  // between dispatch and completion for synchronous runs; moves into
-  // `parked_` (keyed by backend cookie) while the guest is suspended in a
-  // blocking syscall, and back out via `ready_` when the op completes.
+  // One job, from Submit to its end. It waits in its tenant's queue, runs on
+  // a worker's stack, moves into `parked_` (keyed by backend cookie) while
+  // the guest is suspended in a blocking syscall, and comes back out via
+  // `ready_` when the op completes. Every path out of the supervisor ends
+  // in End, exactly once: a park is a delimited continuation with one
+  // begin, any number of park/resume pairs, and one end.
   struct RunState {
     GuestJob job;
     std::promise<RunReport> done;
+    Telemetry::RunHandle trun;  // span handle; invalid when telemetry is off
+    int64_t enqueue_nanos = 0;
+    // Holds (or held) a lease: counted in in_flight_ and billed as a ledger
+    // run by End.
+    bool dispatched = false;
     InstancePool::Lease lease;
     wali::WaliRuntime::MainContinuation cont;
     TenantLedger::RunReservation reserved;
@@ -287,8 +287,8 @@ class Supervisor {
     // run. A park RELEASES the reservation (settling consumed-so-far), so
     // a sleeping guest's unused slices go back to the tenant's pool and
     // cannot starve its runnable jobs; resume re-reserves after the Admit
-    // re-check. Finish paths charge report totals MINUS this, so nothing
-    // is billed twice.
+    // re-check. Settle bills only what lies beyond this, so nothing is
+    // billed twice.
     TenantUsage settled;
     bool fuel_clamped = false;
     RunReport report;  // accumulated across on-worker segments
@@ -299,7 +299,6 @@ class Supervisor {
     // kTimedOut completion means "shed the parked guest", not "the
     // syscall's own timeout elapsed".
     bool timeout_is_shed = false;
-    Telemetry::RunHandle trun;  // span handle; invalid when telemetry is off
     // Snapshot eviction (EvictParked): when set, the lease has been
     // released and the run lives only as serialized bytes — in
     // `evicted_snapshot`, or on disk at `evicted_path` when the supervisor
@@ -326,21 +325,21 @@ class Supervisor {
   // actually pending. (Cumulative accounting lives in the TenantLedger,
   // which by design does not self-evict — see TenantLedger::Forget.)
   struct TenantQueue {
-    std::deque<Task> q;
+    std::deque<RunState> q;
     uint32_t weight = 1;
     uint32_t credits = 0;  // remaining slots in the current WRR burst
     bool in_ring = false;
   };
 
   void WorkerLoop();
-  // Weighted-round-robin pop. Returns true with `*out` filled when a
-  // runnable task was taken; expired-deadline tasks encountered at queue
-  // heads are moved to `*shed` (they do not consume scheduling credit).
-  bool PopLocked(Task* out, std::vector<Task>* shed);
+  // Weighted-round-robin pop of the next runnable job, if any; jobs whose
+  // deadline expired at queue heads are moved to `*shed` (they do not
+  // consume scheduling credit).
+  std::optional<RunState> PopLocked(std::vector<RunState>* shed);
   bool RunnableLocked() const { return !ring_.empty(); }
-  // Dispatches one task: admission, lease, budget arming, first guest
-  // segment. Resolves the promise itself unless the run parks.
-  void RunOne(Task& task);
+  // Dispatches one job: admission, lease, budget arming, first guest
+  // segment.
+  void RunOne(RunState st);
   // Continues a parked run whose op completed: materializes the syscall
   // result and runs the next on-worker segment (which may park again).
   void ResumeOne(ReadyEntry entry);
@@ -348,25 +347,29 @@ class Supervisor {
   // to the job's, registers it with the backend. Sheds instead when the
   // deadline already passed or the supervisor is shutting down.
   void ParkRun(RunState st);
-  // Common completion tail: outcome mapping, trace harvest, ledger settle.
-  void FinishRun(RunState st, const wasm::RunResult& r);
-  // Abandons a dispatched run mid-park (shed / budget / shutdown): settles
-  // partial consumption, discards the suspension, resolves the promise.
-  // Handles evicted runs (no lease): the snapshot bytes are simply dropped.
-  void FinishAbandoned(RunState st, Outcome outcome, std::string message);
+  // Reserves the tenant's budget slices for the next on-worker segment and
+  // arms their enforcement: `*fuel` (the segment's fuel limit, null to
+  // leave it) is clamped to `executed` + the fuel slice, then the CPU
+  // deadline and the syscall budget are armed from the fresh grant.
+  void ArmBudget(RunState& st, uint64_t fuel_demand, uint64_t executed,
+                 uint64_t* fuel);
+  // Settles the run's consumption beyond `st.settled` (fuel and CPU from the
+  // report, `syscalls` as counted so far) and releases its reservation.
+  void Settle(RunState& st, uint64_t syscalls);
   // Rehydrates an evicted run into a freshly leased slot (called by
-  // ResumeOne before the normal resume flow). On failure the run is
-  // resolved as kTrapped/kHostError and false is returned.
-  bool RestoreParked(RunState& st);
-  // Resolves an evicted run that cannot be restored (no lease to settle
-  // against; ledger sees only runs += 1, host_errors += 1).
-  void FinishEvictedUnrestorable(RunState st, std::string message);
-  // Report for a job that never ran (shed / rejected / budget-refused).
-  RunReport ControlReport(const GuestJob& job, Outcome outcome,
-                          std::string message) const;
-  // Closes a run's span (kFinish + per-outcome counter). No-op without
-  // telemetry; safe on every terminal path, exactly once per BeginRun.
-  void EndRunTel(Telemetry::RunHandle h, Outcome outcome, uint64_t fuel);
+  // ResumeOne before the normal resume flow). On failure the run is left
+  // evicted and the error says why.
+  common::Status RestoreParked(RunState& st);
+  // Front ends to End: FinishRun maps a finished segment's RunResult to
+  // an outcome; Fail ends a run the host stopped (reject, shed, budget,
+  // host error) with a kHostError report carrying `message`.
+  void FinishRun(RunState st, const wasm::RunResult& r);
+  void Fail(RunState st, Outcome outcome, std::string message);
+  // The terminal transition. With a live slot it disarms the budgets,
+  // drops the suspension, harvests the trace and settles the rest of the
+  // run's consumption; it drops an evicted run's snapshot, bills the
+  // outcome tallies, closes the span and resolves the promise.
+  void End(RunState st, Outcome outcome);
 
   wali::WaliRuntime* runtime_;
   InstancePool pool_;

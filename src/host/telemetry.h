@@ -24,10 +24,9 @@
 // (walirun --metrics-dump / --trace-out), and the programmatic
 // TakeSnapshot() the tests and benches assert against.
 //
-// Build gate: the HOST_TELEMETRY CMake option (default ON) compiles the
-// interpreter's frame-entry profiling hooks out entirely and nulls the
-// supervisor's telemetry wiring when OFF; this class itself always
-// compiles, it just never receives events then.
+// Telemetry is disabled at run time, not build time: a Supervisor without
+// Options::telemetry records nothing, and ExecOptions::profile gates the
+// interpreter's frame-entry hooks.
 #ifndef SRC_HOST_TELEMETRY_H_
 #define SRC_HOST_TELEMETRY_H_
 

@@ -474,9 +474,11 @@ void WaliRuntime::RegisterAll() {
           if (timed) {
             proc->trace.AddWaliNanos(common::MonotonicNanos() - t0);
           }
-          if (proc->pending_io.armed) {
+          if (ctx.opts.suspend_to != nullptr && proc->pending_io.armed) {
             // Park at the WALI boundary: the handler filed a PendingIo
-            // instead of blocking. The dispatch is counted NOW (suspended
+            // instead of blocking. Only the main run carries a suspension
+            // slot; a guest thread never reads the flag main may have armed
+            // for its own park (it takes the blocking path instead). The dispatch is counted NOW (suspended
             // runs must match blocking runs bit-for-bit in syscall counts);
             // the result — and any fd effect — is materialized at resume.
             proc->pending_io.syscall = def.name;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/host/host.h"
+#include "src/workloads/workloads.h"
 #include "tests/wali_test_util.h"
 
 namespace {
@@ -937,6 +938,54 @@ TEST(HostIo, RunAllPreservesSubmissionOrderAcrossParks) {
     EXPECT_EQ(reports[i].exit_code, i % 2 == 0 ? 42 : 0) << i;
     EXPECT_EQ(reports[i].parks, i % 2 == 0 ? 1u : 0u) << i;
   }
+}
+
+// Runs the memcached analog (main + one cloned server thread over a
+// socketpair) on a fresh supervisor; false if the report does not arrive
+// within the bound.
+bool RunMemcached(host::IoBackend* backend, host::RunReport* out) {
+  const workloads::Workload* mc = workloads::FindWorkload("memcached");
+  if (mc == nullptr) return false;
+  wasm::Linker linker;
+  wali::WaliRuntime runtime(&linker);
+  host::ModuleCache cache;
+  auto module = cache.Load(workloads::InstantiateWat(*mc, 64));
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  if (!module.ok()) return false;
+  host::Supervisor::Options opts;
+  opts.workers = 2;
+  opts.io_backend = backend;
+  host::Supervisor sup(&runtime, opts);
+  host::GuestJob job;
+  job.module = *module;
+  job.argv = {"memcached", "64"};
+  std::future<host::RunReport> f = sup.Submit(std::move(job));
+  if (f.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    return false;  // Shutdown (the destructor) sheds the parked main run
+  }
+  *out = f.get();
+  return true;
+}
+
+TEST(HostIo, GuestThreadTakesBlockingPathWhileMainIsParked) {
+  // Only the main run owns a suspension slot. The memcached analog's server
+  // thread issues its socket reads and writes while main is parked in its
+  // own write, and those must block in place: the park flag on the shared
+  // process belongs to main. Before the dispatch wrapper checked for a
+  // suspension slot, the server thread took main's park for its own,
+  // trapped, and left main waiting forever for a reply.
+  host::RunReport blocking;
+  ASSERT_TRUE(RunMemcached(nullptr, &blocking));
+  ASSERT_TRUE(blocking.completed()) << blocking.trap_message;
+
+  host::IoReactor reactor;
+  host::RunReport offload;
+  ASSERT_TRUE(RunMemcached(&reactor, &offload))
+      << "memcached under async offload did not finish";
+  EXPECT_TRUE(offload.completed()) << offload.trap_message;
+  EXPECT_EQ(offload.exit_code, blocking.exit_code);
+  EXPECT_EQ(offload.executed_instrs, blocking.executed_instrs);
+  EXPECT_GT(offload.parks, 0u);
 }
 
 // ---------------------------------------------------------------------------

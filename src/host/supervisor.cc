@@ -222,8 +222,15 @@ Supervisor::IoStats Supervisor::io_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     s.parked_now = parked_.size();
     s.ready_now = ready_.size();
+    // An evicted run stays evicted until a worker restores it, including
+    // while its completion waits in ready_ (the evicted gauge agrees).
     for (const auto& [cookie, st] : parked_) {
       if (st.evicted) {
+        ++s.evicted_now;
+      }
+    }
+    for (const ReadyEntry& r : ready_) {
+      if (r.st.evicted) {
         ++s.evicted_now;
       }
     }

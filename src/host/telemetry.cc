@@ -233,6 +233,7 @@ Telemetry::Snapshot Telemetry::TakeSnapshot() const {
   // state (interpreter-only build or none registered).
   {
     uint64_t compiles = 0, failures = 0, tierups = 0, osr_exits = 0;
+    uint64_t demotions = 0;
     uint64_t nanos_sum = 0;
     uint64_t buckets[wasm::JitModuleState::kCompileNanosBuckets] = {};
     bool any = false;
@@ -247,21 +248,28 @@ Telemetry::Snapshot Telemetry::TakeSnapshot() const {
       failures += js.compile_failures.load(std::memory_order_relaxed);
       tierups += js.tierups.load(std::memory_order_relaxed);
       osr_exits += js.osr_exits.load(std::memory_order_relaxed);
+      demotions += js.demotions.load(std::memory_order_relaxed);
       nanos_sum += js.compile_nanos_sum.load(std::memory_order_relaxed);
       for (size_t b = 0; b < wasm::JitModuleState::kCompileNanosBuckets; ++b) {
         buckets[b] += js.compile_nanos_bucket[b].load(std::memory_order_relaxed);
       }
       for (size_t i = 0; i < m->functions.size(); ++i) {
         const wasm::JitFuncSlot& slot = m->jit->slots[i];
-        if (slot.state.load(std::memory_order_relaxed) !=
-            wasm::JitFuncSlot::kCompiled) {
+        const uint32_t state = slot.state.load(std::memory_order_relaxed);
+        if (state != wasm::JitFuncSlot::kCompiled &&
+            state != wasm::JitFuncSlot::kDemoted) {
           continue;
         }
         TieredFunction tf;
         tf.module = mod_name;
         tf.func = FuncDisplayName(*m, i);
         tf.heat = slot.heat.load(std::memory_order_relaxed);
-        tf.deopts = slot.deopts.load(std::memory_order_relaxed);
+        tf.trips = slot.trips.load(std::memory_order_relaxed);
+        tf.instrs_per_trip =
+            tf.trips == 0
+                ? 0
+                : slot.instrs.load(std::memory_order_relaxed) / tf.trips;
+        tf.demoted = state == wasm::JitFuncSlot::kDemoted;
         s.tiered_functions.push_back(std::move(tf));
       }
     }
@@ -270,6 +278,7 @@ Telemetry::Snapshot Telemetry::TakeSnapshot() const {
       s.registry.counters.emplace_back("jit_compile_failures_total", failures);
       s.registry.counters.emplace_back("jit_tierups_total", tierups);
       s.registry.counters.emplace_back("jit_osr_exits_total", osr_exits);
+      s.registry.counters.emplace_back("jit_demotions_total", demotions);
       std::sort(s.registry.counters.begin(), s.registry.counters.end());
       metrics::Registry::HistogramSnapshot hs;
       hs.name = "jit_compile_nanos";

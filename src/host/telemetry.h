@@ -157,12 +157,16 @@ class Telemetry {
   };
 
   // One function the baseline-JIT tier compiled, from a registered module's
-  // per-function slots (the serve-mode "top tiered" list).
+  // per-function slots (the serve-mode "top tiered" list). A demoted
+  // function answers "why is this not running compiled?": its trips
+  // (trampoline round trips) retired too few instructions each to pay.
   struct TieredFunction {
     std::string module;
     std::string func;
-    uint64_t heat = 0;    // frame entries + loop back-edges observed
-    uint64_t deopts = 0;  // OSR exits from this function's compiled code
+    uint64_t heat = 0;   // frame entries + loop back-edges observed
+    uint64_t trips = 0;  // runs of its compiled code
+    uint64_t instrs_per_trip = 0;  // instructions retired per trip (mean)
+    bool demoted = false;  // the payoff rule returned it to the interpreter
   };
 
   struct Snapshot {

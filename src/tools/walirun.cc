@@ -429,14 +429,20 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
   if (wasm::JitAvailable() && module->jit != nullptr) {
     const wasm::JitModuleState& js = *module->jit;
     std::printf(
-        "serve: jit compiles=%llu failures=%llu tierups=%llu osr-exits=%llu\n",
+        "serve: jit compiles=%llu failures=%llu tierups=%llu osr-exits=%llu "
+        "demotions=%llu\n",
         static_cast<unsigned long long>(js.compiles.load()),
         static_cast<unsigned long long>(js.compile_failures.load()),
         static_cast<unsigned long long>(js.tierups.load()),
-        static_cast<unsigned long long>(js.osr_exits.load()));
+        static_cast<unsigned long long>(js.osr_exits.load()),
+        static_cast<unsigned long long>(js.demotions.load()));
     std::vector<std::pair<uint64_t, size_t>> tiered;  // (heat, func index)
     for (size_t f = 0; f < module->functions.size(); ++f) {
-      if (js.slots[f].state.load() != wasm::JitFuncSlot::kCompiled) continue;
+      const uint32_t state = js.slots[f].state.load();
+      if (state != wasm::JitFuncSlot::kCompiled &&
+          state != wasm::JitFuncSlot::kDemoted) {
+        continue;
+      }
       tiered.emplace_back(js.slots[f].heat.load(), f);
     }
     std::sort(tiered.begin(), tiered.end(),
@@ -447,9 +453,15 @@ int Serve(wali::WaliRuntime& runtime, std::shared_ptr<const wasm::Module> module
       std::string name =
           dbg.empty() ? "f" + std::to_string(module->num_imported_funcs + f)
                       : dbg;
-      std::printf("serve: jit tiered %-32s heat=%llu deopts=%u\n", name.c_str(),
-                  static_cast<unsigned long long>(heat),
-                  js.slots[f].deopts.load());
+      const uint64_t trips = js.slots[f].trips.load();
+      const uint64_t instrs = js.slots[f].instrs.load();
+      std::printf(
+          "serve: jit tiered %-32s heat=%llu trips=%llu instrs_per_trip=%llu "
+          "demoted=%d\n",
+          name.c_str(), static_cast<unsigned long long>(heat),
+          static_cast<unsigned long long>(trips),
+          static_cast<unsigned long long>(trips == 0 ? 0 : instrs / trips),
+          js.slots[f].state.load() == wasm::JitFuncSlot::kDemoted ? 1 : 0);
     }
   }
   host::TenantUsage usage = sup.ledger().usage(kTenant);

@@ -12,9 +12,10 @@
 //   4. EmitFunction — stitches gate thunks and per-op stencils; anything
 //      without a stencil becomes a deopt exit (the interpreter re-executes
 //      the instruction from unconsumed state).
-//   5. RequestEnter / Execute — tier-up policy and the dispatcher that runs
-//      compiled frames, handles calls/returns natively where possible, and
-//      reconciles every exit back into interpreter state.
+//   5. RequestEnter / Execute — tier-up and payoff policy, and the
+//      dispatcher that runs compiled frames, handles calls, host calls and
+//      returns natively where possible, and reconciles every exit back into
+//      interpreter state.
 //
 // Register plan (SysV, all callee-saved so the poll helper call needs no
 // spills):  rbx = fb (stack.data() + locals_base)   r12 = executed
@@ -82,10 +83,18 @@ constexpr uint32_t kExitDeopt = 3;     // re-execute exit_pc in the interp
 constexpr uint32_t kExitFuelGate = 4;  // gate at exit_pc could not charge
 constexpr uint32_t kExitPollTrap = 5;  // safepoint poll raised a trap
 
-// Deopt exits from one function before its enter-sites stop selecting the
-// compiled code (a loop that deopts every iteration is slower than the
-// interpreter: each round trip pays the trampoline + reconciliation).
-constexpr uint32_t kDeoptBlacklist = 1024;
+// The payoff rule. A trip — one trampoline round trip into compiled code,
+// whatever exit ends it — costs about 100 ns of enter, exit and
+// reconciliation, and compiled code saves about 1.5 ns per instruction over
+// the threaded loop (~1.9 vs ~0.4 ns/instr on the app workloads). So a trip
+// pays for itself past roughly 64 retired instructions. Every
+// kPayoffWindow-th trip of a function compares its lifetime instructions
+// against kBreakEvenInstrs per trip and demotes it to the interpreter, for
+// the life of the module state, when it falls short. Call-dense callers of
+// tiny leaves (and the leaves), and loops that deopt every iteration, are
+// exactly the functions whose trips are short.
+constexpr uint64_t kPayoffWindow = 1024;
+constexpr uint64_t kBreakEvenInstrs = 64;
 
 // Cached-size target for frames with no memory: compiled loads always
 // bounds-check against r15, so pointing msize_addr here makes every access
@@ -1877,7 +1886,7 @@ TrapKind DispatchPoll(ExecContext& ctx) {
 }
 
 // Is frames.back() runnable as compiled code at its current pc? Null means
-// "interpreter runs it": not compiled (yet), blacklisted, pc is not an OSR
+// "interpreter runs it": not compiled (yet), demoted, pc is not an OSR
 // seam, running the unfused/kEveryInstr stream, or the frame's operand
 // region would not fit the configured stack limit.
 const CompiledFn* EnterableCode(ExecContext& ctx, ExecContext::Frame& fr) {
@@ -1886,7 +1895,7 @@ const CompiledFn* EnterableCode(ExecContext& ctx, ExecContext::Frame& fr) {
   auto* js = static_cast<ModuleStateImpl*>(m.jit.get());
   if (js == nullptr) return nullptr;
   JitFuncSlot& slot = js->slots[fr.fn - m.functions.data()];
-  if (slot.deopts.load(std::memory_order_relaxed) >= kDeoptBlacklist) {
+  if (slot.state.load(std::memory_order_relaxed) == JitFuncSlot::kDemoted) {
     return nullptr;
   }
   const auto* cf =
@@ -1929,6 +1938,24 @@ void CompileFunction(ModuleStateImpl& js, const Module& m, const Function& fn,
   }
 }
 
+// Charges one trip that retired `instrs` instructions to the function whose
+// frame it entered, and applies the payoff rule at every kPayoffWindow-th
+// trip. The CAS makes the compiled -> demoted transition (and its count)
+// happen once however many workers race past the window together.
+void ChargeTrip(ModuleStateImpl& js, JitFuncSlot& slot, uint64_t instrs) {
+  slot.instrs.fetch_add(instrs, std::memory_order_relaxed);
+  const uint64_t trips = slot.trips.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (trips % kPayoffWindow != 0 ||
+      slot.instrs.load(std::memory_order_relaxed) >= kBreakEvenInstrs * trips) {
+    return;
+  }
+  uint32_t expect = JitFuncSlot::kCompiled;
+  if (slot.state.compare_exchange_strong(expect, JitFuncSlot::kDemoted,
+                                         std::memory_order_relaxed)) {
+    js.demotions.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 bool RequestEnter(ExecContext& ctx) {
@@ -1945,7 +1972,7 @@ bool RequestEnter(ExecContext& ctx) {
   }
   JitFuncSlot& slot = js->slots[fr.fn - m.functions.data()];
   uint32_t state = slot.state.load(std::memory_order_acquire);
-  if (state == JitFuncSlot::kFailed) return false;
+  if (state >= JitFuncSlot::kFailed) return false;  // failed or demoted
   if (state != JitFuncSlot::kCompiled) {
     if (slot.heat.fetch_add(1, std::memory_order_relaxed) + 1 <=
         ctx.opts.jit_threshold) {
@@ -2001,7 +2028,10 @@ TrapKind Execute(ExecContext& ctx) {
     st.poll_helper = &wasm_jit_poll_impl;
     st.ctx = &ctx;
     st.fr = fr;
+    // Not ctx.executed after the trip: loop-header polls publish into it.
+    const uint64_t entered_at = st.executed;
     wasm_jit_enter_impl(&st, cf->code + cf->entry[fr->pc], st.fb);
+    ChargeTrip(*js, slot, st.executed - entered_at);
     const uint32_t xpc = static_cast<uint32_t>(st.exit_pc);
     switch (static_cast<uint32_t>(st.exit_code)) {
       case kExitReturn: {
@@ -2031,8 +2061,8 @@ TrapKind Execute(ExecContext& ctx) {
         // with the segment ending at it already charged — exactly the
         // interpreter's position after SYNC_STATE at a call site. Resolve
         // the callee with the interpreter's checks, in its order; any trap
-        // condition or host callee deopts so the oracle path executes the
-        // op (billing: uncharge it here, the interp gate re-charges).
+        // condition or unresolved callee deopts so the oracle path executes
+        // the op (billing: uncharge it here, the interp gate re-charges).
         ctx.executed = st.executed;
         const Instr& cin = fr->code[xpc];
         const size_t dd = static_cast<size_t>(cf->depth[xpc]);
@@ -2060,8 +2090,8 @@ TrapKind Execute(ExecContext& ctx) {
         } else {
           ref = &fr->inst->func(cin.a);
         }
-        if (!deopt && (ref->IsHost() || ref->code == nullptr)) {
-          deopt = true;  // host (or unresolved) callee: interpreter path
+        if (!deopt && !ref->IsHost() && ref->code == nullptr) {
+          deopt = true;  // unresolved callee: interpreter path
         }
         if (deopt) {
           ctx.executed -= fr->lcost[xpc];
@@ -2069,17 +2099,30 @@ TrapKind Execute(ExecContext& ctx) {
           ctx.stack.resize(fr->stack_base + dd);
           SetInhibit(ctx, xpc);
           js->osr_exits.fetch_add(1, std::memory_order_relaxed);
-          slot.deopts.fetch_add(1, std::memory_order_relaxed);
           return TrapKind::kNone;
         }
         fr->pc = xpc + 1;  // the caller's resume point (SYNC_STATE)
+        // Trim to the exact args-on-top position the callee reads (the
+        // indirect index was popped by the check above).
+        const size_t args_top = fr->stack_base + dd - (indirect ? 1 : 0);
+        if (ref->IsHost()) {
+          // Native host exit: the interpreter's CALL of a host callee
+          // (STACK_SYNC, CallHost, no kFunction poll). A trap or park
+          // returns with the plain-form state a parked interpreter leaves;
+          // otherwise compiled code continues at call_pc + 1. `fr` is dead
+          // past the call: the host may have re-entered and resized frames.
+          ctx.stack.resize(args_top);
+          if (CallHostForJit(ctx, *ref->host) != TrapKind::kNone) {
+            return ctx.trap;
+          }
+          if (EnterableCode(ctx, ctx.frames.back()) != nullptr) continue;
+          return TrapKind::kNone;  // frame_entry resumes the caller
+        }
         if (ctx.opts.scheme == SafepointScheme::kFunction &&
             DispatchPoll(ctx) != TrapKind::kNone) {
           return ctx.trap;  // stack stays inflated, as the interpreter's
         }
-        // Trim to the exact args-on-top position push_wasm_frame assumes
-        // (the indirect index was popped by the check above).
-        ctx.stack.resize(fr->stack_base + dd - (indirect ? 1 : 0));
+        ctx.stack.resize(args_top);
         if (!PushFrameForJit(ctx, *ref)) {
           return ctx.trap;  // kStackExhausted from the shared push path
         }
@@ -2116,7 +2159,6 @@ TrapKind Execute(ExecContext& ctx) {
         ctx.stack.resize(fr->stack_base + static_cast<size_t>(cf->depth[xpc]));
         SetInhibit(ctx, xpc);
         js->osr_exits.fetch_add(1, std::memory_order_relaxed);
-        slot.deopts.fetch_add(1, std::memory_order_relaxed);
         return TrapKind::kNone;
       }
     }

@@ -11,14 +11,20 @@
 // interpreter continues with bit-identical executed_instrs, fuel
 // accounting, trap kinds, and suspension/snapshot state. Anything the
 // stencil table does not cover — floating point, truncations, atomics,
-// memory.grow/fill/copy, host calls — exits to the interpreter, which
+// memory.grow/fill/copy — exits to the interpreter, which
 // RE-EXECUTES the instruction from an unconsumed state (the exit uncharges
 // the remainder of the segment first), so the slow ops have exactly one
-// implementation and the switch loop stays the semantics oracle.
+// implementation and the switch loop stays the semantics oracle. Host
+// calls are a native exit: the dispatcher calls the host function itself
+// and re-enters compiled code after the call site.
 //
 // Entry points are the threaded loop's frame_entry and loop-header hooks
 // (RequestEnter), which also drive count-based tier-up; RunLoop's driver
 // then trampolines into compiled code (Execute) and reconciles its exits.
+// Every trampoline round trip is charged to the function it entered, and a
+// function whose round trips retire too few instructions to pay for
+// themselves is demoted to the interpreter for good (the payoff rule in
+// jit.cc).
 #ifndef SRC_WASM_JIT_H_
 #define SRC_WASM_JIT_H_
 
@@ -49,6 +55,18 @@ std::shared_ptr<JitModuleState> CreateModuleState(size_t num_functions);
 
 #if WASM_JIT_OK
 
+// Inline pre-check for the interpreter's enter hooks: false when the
+// frame's function can never run compiled again (compile failed, or the
+// payoff rule demoted it), so a rejected enter costs a few loads instead
+// of a call into the tier. Terminal states only; everything else is
+// RequestEnter's call.
+inline bool MaySelect(const ExecContext::Frame& fr) {
+  const Module& m = fr.inst->module();
+  const JitModuleState* js = m.jit.get();
+  return js != nullptr && js->slots[fr.fn - m.functions.data()].state.load(
+                              std::memory_order_relaxed) < JitFuncSlot::kFailed;
+}
+
 // Tier-up decision point, called from the threaded loop's OSR hooks with
 // fr->pc / ctx.executed already synced. Bumps the frame's function heat,
 // triggers compilation past ExecOptions::jit_threshold (CAS latch: exactly
@@ -63,13 +81,17 @@ bool RequestEnter(ExecContext& ctx);
 // (frames empty, results in plain form at the stack top) or with the
 // interpreter expected to continue at frames.back() (fr->pc / ctx.executed
 // / stack all exact); returns a trap kind on traps raised from native state
-// (safepoint polls). All other traps deopt to the interpreter first so
-// their billing and messages come from the oracle path.
+// (safepoint polls) or by a host call (kSyscallPending included, with the
+// state a parked interpreter leaves). All other traps deopt to the
+// interpreter first so their billing and messages come from the oracle
+// path.
 TrapKind Execute(ExecContext& ctx);
 
-// interp.cc's PushFrame, exported for Execute's native call path so frame
-// geometry has exactly one implementation.
+// interp.cc's PushFrame and CallHost, exported for Execute's native call
+// paths so frame geometry and the host-call protocol each have exactly one
+// implementation.
 bool PushFrameForJit(ExecContext& ctx, const FuncRef& ref);
+TrapKind CallHostForJit(ExecContext& ctx, const HostFunc& host);
 
 #endif  // WASM_JIT_OK
 

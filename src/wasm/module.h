@@ -126,17 +126,27 @@ struct FuncProfileSlot {
 // `state` is a CAS latch cold -> compiling -> {compiled, failed}; the winner
 // publishes the code descriptor with a release store into `code` and every
 // enter-site reads it with a plain acquire load, so concurrent instances of
-// one cached module compile once and share the result.
+// one cached module compile once and share the result. compiled -> demoted
+// is the payoff rule's one-way exit (see jit.cc): like failed, demoted is
+// terminal, and the interpreter's enter hooks skip both inline.
 struct JitFuncSlot {
-  enum : uint32_t { kCold = 0, kCompiling = 1, kCompiled = 2, kFailed = 3 };
+  enum : uint32_t {
+    kCold = 0,
+    kCompiling = 1,
+    kCompiled = 2,
+    kFailed = 3,
+    kDemoted = 4,
+  };
   std::atomic<const void*> code{nullptr};  // jit::CompiledFn, owned by state
   std::atomic<uint32_t> state{kCold};
   std::atomic<uint32_t> heat{0};
-  // Deopt exits (unsupported op / trap re-execution) from this function's
-  // compiled code. A function whose hot loop keeps deopting is worse than
-  // interpreted (every round trip pays the trampoline); past the blacklist
-  // threshold the enter-sites stop selecting it.
-  std::atomic<uint32_t> deopts{0};
+  // Payoff accounting: `trips` counts runs of compiled code entered in this
+  // function's frame (one trampoline round trip each, whatever ended it:
+  // call, return, host call, deopt, fuel gate), `instrs` the source
+  // instructions those runs retired. A function whose trips are too short
+  // to amortize the round trip is demoted back to the interpreter.
+  std::atomic<uint64_t> trips{0};
+  std::atomic<uint64_t> instrs{0};
 };
 
 // Module-wide JIT tier state: one slot per local function plus the tier
@@ -151,7 +161,12 @@ struct JitModuleState {
   std::atomic<uint64_t> compiles{0};
   std::atomic<uint64_t> compile_failures{0};
   std::atomic<uint64_t> tierups{0};    // interpreter->jit entries taken
-  std::atomic<uint64_t> osr_exits{0};  // deopt/host-call exits back to interp
+  // Deopt exits back to the interpreter: an op without a stencil, a trap
+  // condition re-executed by the oracle, or a call the native path cannot
+  // take (indirect slow paths, unresolved callee). Host calls, calls,
+  // returns and fuel gates are not deopts and do not tick it.
+  std::atomic<uint64_t> osr_exits{0};
+  std::atomic<uint64_t> demotions{0};  // compiled -> demoted transitions
   std::atomic<uint64_t> compile_nanos_sum{0};
   // Compile-time histogram, decade buckets matching
   // metrics::LatencyBoundsNanos() (1us..10s, +inf last). Kept as raw atomics

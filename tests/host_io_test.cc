@@ -1180,6 +1180,63 @@ TEST(HostIo, EvictedRunSpanOrdering) {
   EXPECT_EQ(restores, 1u);
 }
 
+TEST(HostIo, EvictedRunAwaitingWorkerStillCountsAsEvicted) {
+  // The sole worker is held inside a host call while the evicted sleeper's
+  // I/O completes, so the sleeper waits in the ready queue still evicted
+  // (only a worker restores it). io_stats must say so, agreeing with the
+  // supervisor_evicted_now gauge.
+  EvictWorld w = MakeEvictWorld(/*workers=*/1);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  w.linker->DefineHostFunc(
+      "test", "hold", wasm::FuncType{},
+      [&entered, released](wasm::ExecContext&, const uint64_t*, uint64_t*) {
+        entered.set_value();
+        released.wait();
+        return wasm::TrapKind::kNone;
+      });
+  auto sleeper = w.cache->Load(WrapModule(kSleeperGuest));
+  ASSERT_TRUE(sleeper.ok()) << sleeper.status().ToString();
+  auto holder = w.cache->Load(WrapModule(R"(
+    (import "test" "hold" (func $hold))
+    (memory 1)
+    (func (export "main") (result i32) (call $hold) (i32.const 7)))"));
+  ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+
+  std::future<host::RunReport> slept = w.sup->Submit(MakeJob(*sleeper, "t"));
+  ASSERT_TRUE(WaitForPending(*w.fake, 1));
+  std::vector<uint64_t> cookies = w.sup->parked_cookies();
+  ASSERT_EQ(cookies.size(), 1u);
+  ASSERT_TRUE(w.sup->EvictParked(cookies[0]).ok());
+
+  std::future<host::RunReport> held = w.sup->Submit(MakeJob(*holder, "t"));
+  entered.get_future().wait();
+  w.fake->AdvanceBy(50 * kMs);
+  host::Supervisor::IoStats s = w.sup->io_stats();
+  for (int i = 0; i < 10000 && s.ready_now == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    s = w.sup->io_stats();
+  }
+  int64_t gauge = -1;
+  for (const auto& [name, value] : w.tel->TakeSnapshot().registry.gauges) {
+    if (name == "supervisor_evicted_now") gauge = value;
+  }
+  EXPECT_EQ(s.ready_now, 1u);
+  EXPECT_EQ(s.parked_now, 0u);
+  EXPECT_EQ(s.evicted_now, 1u);
+  EXPECT_EQ(static_cast<int64_t>(s.evicted_now), gauge);
+
+  release.set_value();
+  host::RunReport h = held.get();
+  EXPECT_TRUE(h.completed()) << h.trap_message;
+  EXPECT_EQ(h.exit_code, 7);
+  host::RunReport r = slept.get();
+  EXPECT_TRUE(r.completed()) << r.trap_message;
+  EXPECT_EQ(r.exit_code, 42);
+  EXPECT_EQ(w.sup->io_stats().evicted_now, 0u);
+}
+
 TEST(HostIo, ShutdownWithEvictedRunResolvesFuture) {
   // Shutdown while a run exists only as snapshot bytes: the future must
   // still resolve (shed, with the fuel settled at park time), and nothing

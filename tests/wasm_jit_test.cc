@@ -8,8 +8,10 @@
 // agree; the tier-engagement assertions are gated.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/wasm/prepare.h"
@@ -46,6 +48,8 @@ std::vector<JitCase> Matrix() {
   };
 }
 
+using Imports = std::function<void(wasm::Linker&)>;
+
 struct CaseRun {
   std::string label;
   RunResult result;
@@ -53,14 +57,23 @@ struct CaseRun {
   uint64_t tierups = 0;
   uint64_t compiles = 0;
   uint64_t osr_exits = 0;
+  uint64_t demotions = 0;
+  std::shared_ptr<wasm::Module> module;  // tier state stays inspectable
 };
+
+// The tier slot of exported function `name` (a local function).
+const wasm::JitFuncSlot& SlotOf(const wasm::Module& m, const std::string& name) {
+  const wasm::Export* e = m.FindExport(name, wasm::ExternKind::kFunc);
+  return m.jit->slots[e->index - m.num_imported_funcs];
+}
 
 CaseRun RunCase(const std::string& wat, const JitCase& jc,
                 const std::string& func, const std::vector<Value>& args,
-                ExecOptions base = {}, bool fuse = true) {
+                ExecOptions base = {}, bool fuse = true,
+                const Imports& imports = {}) {
   CaseRun out;
   out.label = jc.label + (fuse ? "" : "+unfused");
-  wasm_test::WatFixture fx = wasm_test::Instantiate(wat);
+  wasm_test::WatFixture fx = wasm_test::Instantiate(wat, imports);
   if (fx.instance == nullptr) {
     out.result.trap = TrapKind::kHostError;
     return out;
@@ -83,7 +96,9 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
     out.tierups = fx.module->jit->tierups.load();
     out.compiles = fx.module->jit->compiles.load();
     out.osr_exits = fx.module->jit->osr_exits.load();
+    out.demotions = fx.module->jit->demotions.load();
   }
+  out.module = fx.module;
   return out;
 }
 
@@ -93,11 +108,12 @@ CaseRun RunCase(const std::string& wat, const JitCase& jc,
 std::vector<CaseRun> ExpectMatrixAgrees(const std::string& wat,
                                         const std::string& func,
                                         const std::vector<Value>& args,
-                                        ExecOptions base = {}) {
+                                        ExecOptions base = {},
+                                        const Imports& imports = {}) {
   std::vector<CaseRun> runs;
   for (bool fuse : {true, false}) {
     for (const JitCase& jc : Matrix()) {
-      runs.push_back(RunCase(wat, jc, func, args, base, fuse));
+      runs.push_back(RunCase(wat, jc, func, args, base, fuse, imports));
     }
   }
   const CaseRun& ref = runs.front();
@@ -292,8 +308,9 @@ const char* kIndirect = R"((module
 )";
 
 // A hot loop whose body deopts every iteration (f64 ops have no stencils):
-// exercises the deopt/reenter seam and, eventually, the deopt blacklist —
-// results must stay exact throughout.
+// exercises the deopt/reenter seam and, eventually, the payoff rule's
+// demotion (every deopt ends a short trip) — results must stay exact
+// throughout.
 const char* kFpDeopt = R"((module
   (func (export "f") (param $n i32) (result i64)
     (local $i i32) (local $x f64) (local $a i64)
@@ -307,6 +324,76 @@ const char* kFpDeopt = R"((module
       (br $l)))
     (local.get $a)))
 )";
+
+// Shaped like the served path's short guests: a loop calling a one-line
+// leaf twice per iteration, with a host call every 64 iterations. Every
+// call and return ends a trip of a few instructions, so neither function
+// can amortize the trampoline and the payoff rule demotes both.
+const char* kCallDense = R"((module
+  (import "env" "tick" (func $tick (result i64)))
+  (memory 1)
+  (func $leaf (param $x i32) (result i32)
+    (i32.add (i32.mul (local.get $x) (i32.const 741)) (i32.const 12345)))
+  (func (export "f") (param $n i32) (result i32)
+    (local $i i32) (local $acc i32)
+    (block $done (loop $l
+      (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+      (if (i32.eqz (i32.and (local.get $i) (i32.const 63)))
+        (then (local.set $acc (i32.add (local.get $acc)
+                                       (i32.wrap_i64 (call $tick))))))
+      (local.set $acc (call $leaf (i32.xor (local.get $acc) (local.get $i))))
+      (local.set $acc (i32.add (local.get $acc) (call $leaf (local.get $i))))
+      (i32.store (i32.shl (i32.and (local.get $i) (i32.const 1023)) (i32.const 2))
+                 (local.get $acc))
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br $l)))
+    (local.get $acc)))
+)";
+
+// One host call per outer iteration, then an inner compute loop of $k
+// iterations (~10 instructions each): $k sets how many instructions each
+// trip between two host calls retires.
+const char* kHostSparse = R"((module
+  (import "env" "mix" (func $mix (param i64) (result i64)))
+  (func (export "f") (param $n i32) (param $k i32) (result i64)
+    (local $i i32) (local $j i32) (local $a i64)
+    (block $done (loop $l
+      (br_if $done (i32.ge_u (local.get $i) (local.get $n)))
+      (local.set $a (i64.add (local.get $a)
+          (call $mix (i64.extend_i32_u (local.get $i)))))
+      (local.set $j (i32.const 0))
+      (block $jd (loop $jl
+        (br_if $jd (i32.ge_u (local.get $j) (local.get $k)))
+        (local.set $a (i64.xor (local.get $a) (i64.shl (local.get $a) (i64.const 3))))
+        (local.set $j (i32.add (local.get $j) (i32.const 1)))
+        (br $jl)))
+      (local.set $i (i32.add (local.get $i) (i32.const 1)))
+      (br $l)))
+    (local.get $a)))
+)";
+
+void DefineTick(wasm::Linker& linker) {
+  wasm::FuncType type;
+  type.results = {wasm::ValType::kI64};
+  linker.DefineHostFunc(
+      "env", "tick", type,
+      [](wasm::ExecContext&, const uint64_t*, uint64_t* results) {
+        results[0] = 7;
+        return TrapKind::kNone;
+      });
+}
+
+void DefineMix(wasm::Linker& linker) {
+  wasm::FuncType type;
+  type.params = {wasm::ValType::kI64};
+  type.results = {wasm::ValType::kI64};
+  linker.DefineHostFunc(
+      "env", "mix", type,
+      [](wasm::ExecContext&, const uint64_t* args, uint64_t* results) {
+        results[0] = args[0] * 2654435761u + 99991u;
+        return TrapKind::kNone;
+      });
+}
 
 // ------------------------------------------------------------------- tests
 
@@ -375,8 +462,9 @@ TEST(WasmJit, IndirectOobTrapParity) {
 }
 
 TEST(WasmJit, FpDeoptLoopParity) {
-  // Every iteration deopts at the f64 ops; past kDeoptBlacklist the enter
-  // sites stop selecting the code. Exactness must hold the whole way.
+  // Every iteration deopts at the f64 ops, so every trip is short; past the
+  // payoff window the function is demoted and the enter sites stop
+  // selecting the code. Exactness must hold the whole way.
   auto runs = ExpectMatrixAgrees(kFpDeopt, "f", {Value::I32(3000)});
   if (wasm::JitAvailable()) {
     bool deopted = false;
@@ -459,9 +547,11 @@ TEST(WasmJit, SafepointSchemesParity) {
 }
 
 TEST(WasmJit, HostCallDeoptLoopParity) {
-  // A host call inside a hot loop exits compiled code every iteration (the
-  // call op deopts to the interpreter, which runs CallHost): results and
-  // executed counts must stay exact, and the loop must not wedge.
+  // A host call inside a hot loop exits compiled code every iteration (a
+  // native host exit: the dispatcher runs CallHost and re-enters after the
+  // call). The ~15-instruction body cannot pay for those round trips, so
+  // the payoff rule demotes the loop mid-run: results and executed counts
+  // must stay exact across that transition, and the loop must not wedge.
   const char* wat = R"((module
     (import "env" "mix" (func $mix (param i64) (result i64)))
     (func (export "f") (param $n i32) (result i64)
@@ -502,6 +592,103 @@ TEST(WasmJit, HostCallDeoptLoopParity) {
     }
     EXPECT_EQ(r.values[0].bits, ref.values[0].bits) << jc.label;
     EXPECT_EQ(r.executed_instrs, ref.executed_instrs) << jc.label;
+  }
+}
+
+TEST(WasmJit, HostCallsStayCompiled) {
+  // 5000 host calls from a loop that retires ~90 instructions between
+  // them: each call is a native exit that resumes compiled code after the
+  // call site, so the loop is entered once, never deopts, and pays for
+  // every trip.
+  auto runs = ExpectMatrixAgrees(kHostSparse, "f",
+                                 {Value::I32(5000), Value::I32(8)}, {},
+                                 DefineMix);
+  ExpectTierEngaged(runs);
+  if (!wasm::JitAvailable()) return;
+  for (const CaseRun& r : runs) {
+    if (r.label.rfind("jit", 0) != 0 || r.label.find("unfused") != std::string::npos) {
+      continue;
+    }
+    const wasm::JitFuncSlot& slot = SlotOf(*r.module, "f");
+    EXPECT_EQ(r.osr_exits, 0u) << r.label;
+    EXPECT_EQ(r.tierups, 1u) << r.label;
+    EXPECT_EQ(slot.state.load(), wasm::JitFuncSlot::kCompiled) << r.label;
+    EXPECT_EQ(r.demotions, 0u) << r.label;
+    // One trip per host call, less the few the warm case made before it
+    // tiered up.
+    EXPECT_GE(slot.trips.load(), 4990u) << r.label;
+  }
+}
+
+TEST(WasmJit, CallDenseCodeIsDemoted) {
+  // A serve-style caller of a tiny leaf: both functions' trips retire a
+  // handful of instructions, so the payoff rule demotes both, and a second
+  // run on the same (cached) module never tiers up again.
+  auto runs = ExpectMatrixAgrees(kCallDense, "f", {Value::I32(3000)}, {},
+                                 DefineTick);
+  ExpectTierEngaged(runs);
+  if (!wasm::JitAvailable()) return;
+  for (const JitCase& jc : {Matrix()[2], Matrix()[3]}) {
+    wasm_test::WatFixture fx = wasm_test::Instantiate(kCallDense, DefineTick);
+    ASSERT_NE(fx.instance, nullptr);
+    ExecOptions opts;
+    opts.jit = jc.jit;
+    opts.jit_threshold = jc.threshold;
+    RunResult first = fx.instance->CallExport("f", {Value::I32(3000)}, opts);
+    ASSERT_EQ(first.trap, TrapKind::kNone) << jc.label;
+    const wasm::JitModuleState& js = *fx.module->jit;
+    EXPECT_EQ(SlotOf(*fx.module, "f").state.load(),
+              wasm::JitFuncSlot::kDemoted)
+        << jc.label;
+    EXPECT_EQ(js.slots[0].state.load(), wasm::JitFuncSlot::kDemoted)
+        << jc.label << " (leaf)";
+    EXPECT_EQ(js.demotions.load(), 2u) << jc.label;
+    const uint64_t tierups = js.tierups.load();
+    const uint64_t trips = SlotOf(*fx.module, "f").trips.load();
+    RunResult again = fx.instance->CallExport("f", {Value::I32(3000)}, opts);
+    ASSERT_EQ(again.trap, TrapKind::kNone) << jc.label;
+    EXPECT_EQ(again.values[0].bits, first.values[0].bits) << jc.label;
+    EXPECT_EQ(again.executed_instrs, first.executed_instrs) << jc.label;
+    EXPECT_EQ(js.tierups.load(), tierups) << jc.label;
+    EXPECT_EQ(SlotOf(*fx.module, "f").trips.load(), trips) << jc.label;
+  }
+}
+
+TEST(WasmJit, SparseHostCallsPayAndStayCompiled) {
+  // One host call per ~1000 instructions: well past break-even, so the
+  // payoff rule, checked at least once (>= 1024 trips), keeps the loop.
+  auto runs = ExpectMatrixAgrees(kHostSparse, "f",
+                                 {Value::I32(1500), Value::I32(100)}, {},
+                                 DefineMix);
+  ExpectTierEngaged(runs);
+  if (!wasm::JitAvailable()) return;
+  // Run as served guests run, with a loop-scheme safepoint poll at every
+  // back-edge: the poll publishes executed mid-trip, and trip accounting
+  // must still charge the whole trip.
+  for (const JitCase& jc : {Matrix()[2], Matrix()[3]}) {
+    wasm_test::WatFixture fx = wasm_test::Instantiate(kHostSparse, DefineMix);
+    ASSERT_NE(fx.instance, nullptr);
+    uint64_t polls = 0;
+    fx.instance->set_safepoint_fn([&polls](wasm::ExecContext&) {
+      ++polls;
+      return TrapKind::kNone;
+    });
+    ExecOptions opts;
+    opts.scheme = SafepointScheme::kLoop;
+    opts.jit = jc.jit;
+    opts.jit_threshold = jc.threshold;
+    RunResult r = fx.instance->CallExport(
+        "f", {Value::I32(1500), Value::I32(100)}, opts);
+    ASSERT_EQ(r.trap, TrapKind::kNone) << jc.label;
+    EXPECT_EQ(r.values[0].bits, runs.front().result.values[0].bits) << jc.label;
+    EXPECT_EQ(r.executed_instrs, runs.front().result.executed_instrs)
+        << jc.label;
+    EXPECT_GT(polls, 1500u * 100u) << jc.label;
+    const wasm::JitFuncSlot& slot = SlotOf(*fx.module, "f");
+    EXPECT_EQ(slot.state.load(), wasm::JitFuncSlot::kCompiled) << jc.label;
+    ASSERT_GE(slot.trips.load(), 1024u) << jc.label;
+    EXPECT_GE(slot.instrs.load() / slot.trips.load(), 900u) << jc.label;
+    EXPECT_EQ(fx.module->jit->demotions.load(), 0u) << jc.label;
   }
 }
 
@@ -613,6 +800,45 @@ TEST(WasmJit, TierStateSurvivesConcurrentHammering) {
   ASSERT_NE((*parsed)->jit, nullptr);
   EXPECT_EQ((*parsed)->jit->compiles.load(), 1u);
   EXPECT_GE((*parsed)->jit->tierups.load(), 8u);
+
+  // Eight threads run instances of one call-dense module at once, so trip
+  // accounting races on shared slots across the demotion of both
+  // functions: each is demoted exactly once, and every run stays exact.
+  auto dense = wasm::ParseAndValidateWat(kCallDense);
+  ASSERT_TRUE(dense.ok());
+  constexpr int kThreads = 8;
+  std::vector<RunResult> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      wasm::Linker linker;
+      DefineTick(linker);
+      auto inst = linker.Instantiate(*dense);
+      if (!inst.ok()) return;
+      ExecOptions opts;
+      opts.jit = JitTier::kOn;
+      opts.jit_threshold = 0;
+      results[t] = (*inst)->CallExport("f", {Value::I32(2000)}, opts);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ExecOptions oracle;
+  oracle.dispatch = DispatchMode::kSwitch;
+  CaseRun want = RunCase(kCallDense, Matrix()[0], "f", {Value::I32(2000)},
+                         oracle, true, DefineTick);
+  ASSERT_EQ(want.result.trap, TrapKind::kNone);
+  for (const RunResult& r : results) {
+    ASSERT_EQ(r.trap, TrapKind::kNone);
+    EXPECT_EQ(r.values[0].bits, want.result.values[0].bits);
+    EXPECT_EQ(r.executed_instrs, want.result.executed_instrs);
+  }
+  const wasm::JitModuleState& js = *(*dense)->jit;
+  EXPECT_EQ(js.compiles.load(), 2u);
+  EXPECT_EQ(js.demotions.load(), 2u);
+  for (size_t f = 0; f < (*dense)->functions.size(); ++f) {
+    EXPECT_EQ(js.slots[f].state.load(), wasm::JitFuncSlot::kDemoted) << f;
+    EXPECT_GE(js.slots[f].trips.load(), 1024u) << f;
+  }
 }
 
 }  // namespace

@@ -342,8 +342,9 @@ TEST(WasmSnapshot, RoundTripDifferentialRecursionKernel) {
 
 TEST(WasmSnapshot, RoundTripDifferentialJitTier) {
   // The baseline-JIT axis: parks reached FROM COMPILED CODE (the host call
-  // deopts to the interpreter, which parks; threshold 0 compiles at first
-  // entry, threshold 2 tiers up between parks) must snapshot and restore
+  // is a native exit that parks with the interpreter's plain-form state;
+  // threshold 0 compiles at first entry, threshold 2 tiers up between
+  // parks) must snapshot and restore
   // bit-identically to a JIT-off switch-loop run. Restore lands in a fresh
   // module whose tier state is cold — the resumed run re-tiers on its own.
   for (const char* wat : {kLoopKernelWat, kRecursionKernelWat}) {
